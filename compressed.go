@@ -168,7 +168,11 @@ type WarmStats = slpmatch.WarmStats
 // subtree cur shares with old is reused through the cache. When the
 // index's exact counter has been used (ExactCount), its count matrices
 // are maintained too, so live counts stay one cache hit away. A nil old
-// document warms cur from whatever is cached.
+// document warms cur from whatever is cached. old is superseded: the
+// cached data of the nodes only it reaches (the previous edit spine) is
+// dropped, so a long edit sequence under a live view keeps memory
+// proportional to the current grammar; evaluating old afterwards is
+// still correct and recomputes what it needs.
 func (ix *Index) WarmDelta(old, cur *Document) WarmStats {
 	var oldRoot *slp.Node
 	if old != nil {

@@ -36,7 +36,7 @@ func (s *Server) handleDocPut(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	writeJSON(w, 200, sd.info())
+	writeJSON(w, 200, sd.ack())
 	return nil
 }
 
@@ -79,7 +79,7 @@ func (s *Server) handleDocCompress(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return err
 	}
-	writeJSON(w, 200, sd.info())
+	writeJSON(w, 200, sd.ack())
 	return nil
 }
 
@@ -104,7 +104,7 @@ func (s *Server) handleDocEdit(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	writeJSON(w, 200, sd.info())
+	writeJSON(w, 200, sd.ack())
 	return nil
 }
 

@@ -36,7 +36,7 @@ func viewJSON(v *views.View, res *views.Result) map[string]any {
 	out["elapsed"] = res.Elapsed.String()
 	out["recomputed_nodes"] = res.Stats.Recomputed
 	out["reused_nodes"] = res.Stats.Reused
-	out["grammar_size"] = res.GrammarSize
+	out["grammar_size"] = res.GrammarSize()
 	out["reuse_ratio"] = res.ReuseRatio()
 	return out
 }

@@ -44,25 +44,37 @@ func (d *storedDoc) bytes() []byte {
 	return d.plain
 }
 
-// docInfo is the JSON shape of a document in listings and responses.
+// docAck is the JSON shape of a mutation response (PUT, compress,
+// edit). Its fields cost O(1), so an edit's response costs what the
+// O(|φ|·log d) edit costs, not a walk over the whole grammar.
+type docAck struct {
+	Name       string `json:"name"`
+	Compressed bool   `json:"compressed"`
+	Len        int64  `json:"len"`
+	Version    int    `json:"version"`
+	Updated    string `json:"updated"`
+}
+
+// docInfo is the JSON shape of a document in listings and GET
+// responses: the acknowledgement fields plus the SLP size, which walks
+// the grammar DAG.
 type docInfo struct {
-	Name        string `json:"name"`
-	Compressed  bool   `json:"compressed"`
-	Len         int64  `json:"len"`
-	GrammarSize int    `json:"grammar_size"`
-	Version     int    `json:"version"`
-	Updated     string `json:"updated"`
+	docAck
+	GrammarSize int `json:"grammar_size"`
+}
+
+func (d *storedDoc) ack() docAck {
+	return docAck{
+		Name:       d.name,
+		Compressed: d.compressed,
+		Len:        d.doc.Len(),
+		Version:    d.version,
+		Updated:    d.updated.UTC().Format(time.RFC3339Nano),
+	}
 }
 
 func (d *storedDoc) info() docInfo {
-	return docInfo{
-		Name:        d.name,
-		Compressed:  d.compressed,
-		Len:         d.doc.Len(),
-		GrammarSize: d.doc.GrammarSize(),
-		Version:     d.version,
-		Updated:     d.updated.UTC().Format(time.RFC3339Nano),
-	}
+	return docInfo{docAck: d.ack(), GrammarSize: d.doc.GrammarSize()}
 }
 
 // docStore is the server's document store: named snapshots over a

@@ -145,14 +145,16 @@ func (ct *Counter) CachedNodes() int { return ct.core.memo.len() }
 // turned oldRoot into newRoot, recomputing only the O(log d) fresh spine
 // nodes; a Count on newRoot afterwards is a single cache hit plus the
 // final-vector product. A nil oldRoot warms newRoot from whatever is
-// cached.
+// cached. oldRoot is superseded: the matrices of the nodes only it
+// reaches are dropped afterwards, and counting it later recomputes them.
 func (ct *Counter) WarmDelta(oldRoot, newRoot *slp.Node) WarmStats {
 	core := ct.core
 	before := core.memo.len()
 	st := warmDelta(oldRoot, newRoot,
 		func(n *slp.Node) bool { _, ok := core.memo.get(n); return ok },
 		func(n *slp.Node) { core.nodeMatrix(n) },
-		func(n *slp.Node) { core.nodeMatrix(n) })
+		func(n *slp.Node) { core.nodeMatrix(n) },
+		core.memo.del)
 	st.CachedBefore = before
 	return st
 }

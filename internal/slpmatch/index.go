@@ -188,14 +188,17 @@ func (ix *Index) CachedNodes() int { return ix.core.nodes.len() }
 // already cached, so it computes P/E/E⁺ data only for the O(log d)
 // fresh spine nodes of the edit (Section 4.3 — the hash-consed subtrees
 // shared with oldRoot are free). A nil oldRoot warms newRoot from
-// whatever is cached. Safe for concurrent use, like Warm.
+// whatever is cached. oldRoot is superseded: the data of the nodes only
+// it reaches is dropped afterwards, and evaluating it later recomputes
+// them (see warmDelta). Safe for concurrent use, like Warm.
 func (ix *Index) WarmDelta(oldRoot, newRoot *slp.Node) WarmStats {
 	core := ix.core
 	before := core.nodes.len()
 	st := warmDelta(oldRoot, newRoot,
 		func(n *slp.Node) bool { _, ok := core.nodes.get(n); return ok },
 		func(n *slp.Node) { core.node(n) },
-		func(n *slp.Node) { core.node(n) })
+		func(n *slp.Node) { core.node(n) },
+		core.nodes.del)
 	st.CachedBefore = before
 	return st
 }

@@ -125,13 +125,16 @@ func (m *Matcher) CachedNodes() int { return m.core.memo.len() }
 // spine nodes only, pruning the traversal at every node that already has
 // one (the subtrees the edit shares with oldRoot — hash-consed, so they
 // are free). A nil oldRoot warms newRoot from whatever is cached.
+// oldRoot is superseded: the matrices of the nodes only it reaches are
+// dropped afterwards, and matching it later recomputes them.
 func (m *Matcher) WarmDelta(oldRoot, newRoot *slp.Node) WarmStats {
 	core := m.core
 	before := core.memo.len()
 	st := warmDelta(oldRoot, newRoot,
 		func(n *slp.Node) bool { _, ok := core.memo.get(n); return ok },
 		func(n *slp.Node) { core.matrix(n) },
-		func(n *slp.Node) { core.matrix(n) })
+		func(n *slp.Node) { core.matrix(n) },
+		core.memo.del)
 	st.CachedBefore = before
 	return st
 }

@@ -77,19 +77,34 @@ type Result struct {
 	// edit spine (O(log d) per CDE operation), Reused the cached subtree
 	// boundary.
 	Stats docspanner.WarmStats
-	// GrammarSize is the document's SLP size at this version — the
-	// denominator of the memo-reuse ratio: a refresh that recomputed r
-	// nodes of a g-node grammar reused 1 − r/g of the DAG.
-	GrammarSize int
+
+	// doc is the evaluated snapshot until GrammarSize first walks it.
+	doc      *docspanner.Document
+	sizeOnce sync.Once
+	size     int
+}
+
+// GrammarSize is the document's SLP size at this version — the
+// denominator of the memo-reuse ratio: a refresh that recomputed r
+// nodes of a g-node grammar reused 1 − r/g of the DAG. Counting walks
+// the whole grammar, so it runs on the first read of the result, not
+// in the refresh an edit waits for.
+func (r *Result) GrammarSize() int {
+	r.sizeOnce.Do(func() {
+		r.size = r.doc.GrammarSize()
+		r.doc = nil
+	})
+	return r.size
 }
 
 // ReuseRatio is the fraction of the document's grammar this refresh did
 // NOT recompute — 1 for a pure cache hit, 0 for a cold evaluation.
 func (r *Result) ReuseRatio() float64 {
-	if r.GrammarSize == 0 {
+	g := r.GrammarSize()
+	if g == 0 {
 		return 1
 	}
-	ratio := 1 - float64(r.Stats.Recomputed)/float64(r.GrammarSize)
+	ratio := 1 - float64(r.Stats.Recomputed)/float64(g)
 	if ratio < 0 {
 		return 0
 	}
@@ -150,11 +165,11 @@ func (v *View) Refresh(d *docspanner.Document, version int) (*Result, bool) {
 	st := v.ix.WarmDelta(v.prevDoc, d)
 	count := v.ix.ExactCount(d)
 	res := &Result{
-		Version:     version,
-		Count:       count,
-		Refreshed:   start,
-		Stats:       st,
-		GrammarSize: d.GrammarSize(),
+		Version:   version,
+		Count:     count,
+		Refreshed: start,
+		Stats:     st,
+		doc:       d,
 	}
 	if count.IsInt64() && count.Int64() <= int64(v.cfg.MaxMaterialize) {
 		tuples := v.ix.Eval(d).Sorted()
