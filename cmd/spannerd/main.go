@@ -25,7 +25,7 @@
 // Cluster mode:
 //
 //	spannerd -coordinator -workers http://h1:8081,http://h2:8082
-//	         [-vnodes 64] [-replication-probe 500ms]
+//	         [-vnodes 64] [-probe-interval 500ms]
 //
 // runs the same HTTP API as a coordinator that owns no documents:
 // each document name hashes onto one worker (consistent hashing with
@@ -104,7 +104,7 @@ func main() {
 		coordMode = flag.Bool("coordinator", false, "run as a cluster coordinator over -workers instead of serving documents")
 		workers   = flag.String("workers", "", "comma-separated worker base URLs, e.g. http://h1:8081,http://h2:8082 (coordinator mode; order is part of the placement)")
 		vnodes    = flag.Int("vnodes", 0, "virtual nodes per worker on the placement ring (0: default 64)")
-		probeIvl  = flag.Duration("replication-probe", 500*time.Millisecond, "per-worker health-probe interval (coordinator mode)")
+		probeIvl  = flag.Duration("probe-interval", 500*time.Millisecond, "per-worker health-probe interval (coordinator mode)")
 	)
 	flag.Parse()
 

@@ -154,6 +154,12 @@ func (c *Client) Do(req *http.Request, worker int) (*http.Response, func(), erro
 			b.Cancel()
 			return nil, nil, ctx.Err()
 		}
+		// Neither is a request body the caller could not supply (say, one
+		// cut off at the caller's own size cap).
+		if errors.As(err, new(*http.MaxBytesError)) {
+			b.Cancel()
+			return nil, nil, fmt.Errorf("worker %s: %w", c.ring.URL(worker), err)
+		}
 		b.Failure()
 		return nil, nil, fmt.Errorf("worker %s: %w", c.ring.URL(worker), err)
 	}

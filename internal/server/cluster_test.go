@@ -17,6 +17,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -811,5 +812,40 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	mustStatus(t, code, 200, "varz")
 	if body["coordinator"] == nil || body["workers"] == nil {
 		t.Fatalf("varz shape: %v", body)
+	}
+}
+
+// TestClusterMergedStreamLimitSatisfied: once the global limit is
+// reached the coordinator cancels the remaining shard streams itself;
+// whatever error that cancellation surfaces as on a shard is
+// satisfaction, so the trailer must say done:true with no errors.
+// Several documents per shard, each longer than the limit, make the
+// shards race the cancellation on most runs.
+func TestClusterMergedStreamLimitSatisfied(t *testing.T) {
+	tc := newTestCluster(t, 2, CoordinatorConfig{})
+	tc.json(t, "PUT", "/queries/q", `{"src": ".*!x{ab}.*"}`)
+	var docs []string
+	for w := 0; w < 2; w++ {
+		for i := 0; i < 2; i++ {
+			d := tc.docOwnedBy(t, w, fmt.Sprintf("lim%d%d", w, i))
+			tc.json(t, "PUT", "/docs/"+d, strings.Repeat("ab", 2000))
+			docs = append(docs, d)
+		}
+	}
+	const limit = 5
+	for run := 0; run < 300; run++ {
+		resp, err := http.Get(tc.front.URL + "/stream?query=q&limit=" + strconv.Itoa(limit) + "&docs=" + strings.Join(docs, ","))
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		counts, summary := readMerged(t, resp.Body, nil)
+		_ = resp.Body.Close()
+		n := 0
+		for _, c := range counts {
+			n += c
+		}
+		if n != limit || summary["done"] != true || summary["count"] != float64(limit) || summary["errors"] != nil {
+			t.Fatalf("run %d: %d frames, summary %v", run, n, summary)
+		}
 	}
 }

@@ -11,10 +11,7 @@ package server
 // taxonomy instead of dragging the whole fan-out down.
 
 import (
-	"context"
 	"errors"
-	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -61,32 +58,17 @@ type CoordinatorConfig struct {
 	Transport http.RoundTripper
 }
 
-func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 5 * time.Minute
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
-	if c.Logger == nil {
-		c.Logger = slog.New(discardHandler{})
-	}
-	return c
-}
-
 // Coordinator is the cluster-mode spannerd HTTP handler. Create one
 // with NewCoordinator and mount it on an http.Server; Close stops the
 // health prober.
 type Coordinator struct {
-	cfg    CoordinatorConfig
 	ring   *cluster.Ring
 	client *cluster.Client
 	prober *cluster.Prober
-	cm     *coordMetrics
-	mux    *http.ServeMux
+	front  *front
+
+	mergedTuples atomic.Uint64 // tuple frames relayed through merged streams
+	shardErrors  atomic.Uint64 // per-shard failures inside scatter-gathers
 
 	closeOnce sync.Once
 }
@@ -96,13 +78,11 @@ type Coordinator struct {
 // request already sees a realistic up/down view), and starts the
 // background probe loops.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	cfg = cfg.withDefaults()
 	ring, err := cluster.NewRing(cfg.Workers, cfg.VNodes)
 	if err != nil {
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg:  cfg,
 		ring: ring,
 		client: cluster.NewClient(ring, cluster.ClientConfig{
 			MaxInflight:      cfg.MaxPerWorkerInflight,
@@ -114,7 +94,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			Transport:        cfg.Transport,
 		}),
 		prober: cluster.NewProber(ring, cfg.ProbeInterval),
-		cm:     newCoordMetrics(),
+		front:  newFront(coordinatorFront, cfg.RequestTimeout, cfg.MaxTimeout, cfg.MaxBodyBytes, cfg.Logger),
 	}
 	c.routes()
 	c.prober.Start()
@@ -127,106 +107,46 @@ func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() { c.prober.Stop() })
 }
 
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.ServeHTTP(w, r) }
+func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.front.ServeHTTP(w, r) }
 
 // Ring exposes the placement ring (tests and cmd wiring).
 func (c *Coordinator) Ring() *cluster.Ring { return c.ring }
 
 func (c *Coordinator) routes() {
-	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("GET /healthz", c.wrap("healthz", c.handleHealthz))
-	c.mux.HandleFunc("GET /readyz", c.wrap("readyz", c.handleReadyz))
-	c.mux.HandleFunc("GET /metrics", c.wrap("metrics", c.handleMetrics))
-	c.mux.HandleFunc("GET /varz", c.wrap("varz", c.handleVarz))
-	c.mux.HandleFunc("GET /cluster", c.wrap("cluster", c.handleCluster))
+	f := c.front
+	f.handle("GET /healthz", "healthz", c.handleHealthz)
+	f.handle("GET /readyz", "readyz", c.handleReadyz)
+	f.handle("GET /metrics", "metrics", c.handleMetrics)
+	f.handle("GET /varz", "varz", c.handleVarz)
+	f.handle("GET /cluster", "cluster", c.handleCluster)
 
-	c.mux.HandleFunc("GET /docs", c.wrap("docs.list", c.handleDocListFan))
-	c.mux.HandleFunc("PUT /docs/{name}", c.wrap("docs.put", c.proxyDocOwner))
-	c.mux.HandleFunc("GET /docs/{name}", c.wrap("docs.get", c.proxyDocOwner))
-	c.mux.HandleFunc("DELETE /docs/{name}", c.wrap("docs.delete", c.proxyDocOwner))
-	c.mux.HandleFunc("POST /docs/{name}/compress", c.wrap("docs.compress", c.proxyDocOwner))
-	c.mux.HandleFunc("POST /docs/{name}/edit", c.wrap("docs.edit", c.proxyDocOwner))
-	c.mux.HandleFunc("POST /docs/{name}/warm", c.wrap("docs.warm", c.proxyDocOwner))
-	c.mux.HandleFunc("GET /docs/{name}/views", c.wrap("views.list", c.proxyDocOwner))
-	c.mux.HandleFunc("PUT /docs/{name}/views/{query}", c.wrap("views.put", c.proxyDocOwner))
-	c.mux.HandleFunc("GET /docs/{name}/views/{query}", c.wrap("views.get", c.proxyDocOwner))
-	c.mux.HandleFunc("DELETE /docs/{name}/views/{query}", c.wrap("views.delete", c.proxyDocOwner))
-	c.mux.HandleFunc("GET /docs/{name}/changes", c.wrap("docs.changes", c.proxyDocOwner))
-	c.mux.HandleFunc("GET /views", c.wrap("views.list", c.handleViewListFan))
+	f.handle("GET /docs", "docs.list", c.handleDocListFan)
+	f.handle("PUT /docs/{name}", "docs.put", c.proxyDocOwner)
+	f.handle("GET /docs/{name}", "docs.get", c.proxyDocOwner)
+	f.handle("DELETE /docs/{name}", "docs.delete", c.proxyDocOwner)
+	f.handle("POST /docs/{name}/compress", "docs.compress", c.proxyDocOwner)
+	f.handle("POST /docs/{name}/edit", "docs.edit", c.proxyDocOwner)
+	f.handle("POST /docs/{name}/warm", "docs.warm", c.proxyDocOwner)
+	f.handle("GET /docs/{name}/views", "views.list", c.proxyDocOwner)
+	f.handle("PUT /docs/{name}/views/{query}", "views.put", c.proxyDocOwner)
+	f.handle("GET /docs/{name}/views/{query}", "views.get", c.proxyDocOwner)
+	f.handle("DELETE /docs/{name}/views/{query}", "views.delete", c.proxyDocOwner)
+	f.handle("GET /docs/{name}/changes", "docs.changes", c.proxyDocOwner)
+	f.handle("GET /views", "views.list", c.handleViewListFan)
 
-	c.mux.HandleFunc("GET /queries", c.wrap("queries.list", c.proxyFirstUp))
-	c.mux.HandleFunc("PUT /queries/{name}", c.wrap("queries.put", c.handleQueryPutFan))
-	c.mux.HandleFunc("GET /queries/{name}", c.wrap("queries.get", c.proxyFirstUp))
-	c.mux.HandleFunc("DELETE /queries/{name}", c.wrap("queries.delete", c.handleQueryDeleteFan))
-	c.mux.HandleFunc("GET /queries/{name}/explain", c.wrap("queries.explain", c.proxyFirstUp))
+	f.handle("GET /queries", "queries.list", c.proxyFirstUp)
+	f.handle("PUT /queries/{name}", "queries.put", c.handleQueryPutFan)
+	f.handle("GET /queries/{name}", "queries.get", c.proxyFirstUp)
+	f.handle("DELETE /queries/{name}", "queries.delete", c.handleQueryDeleteFan)
+	f.handle("GET /queries/{name}/explain", "queries.explain", c.proxyFirstUp)
 
-	c.mux.HandleFunc("GET /eval", c.wrap("eval", c.handleEvalProxy))
-	c.mux.HandleFunc("GET /count", c.wrap("count", c.handleCountProxy))
-	c.mux.HandleFunc("GET /stream", c.wrap("stream", c.handleStreamProxy))
-	c.mux.HandleFunc("POST /batch", c.wrap("batch", c.handleBatchScatter))
+	f.handle("GET /eval", "eval", c.handleEvalProxy)
+	f.handle("GET /count", "count", c.handleCountProxy)
+	f.handle("GET /stream", "stream", c.handleStreamProxy)
+	f.handle("POST /batch", "batch", c.handleBatchScatter)
 
-	c.mux.HandleFunc("POST /admin/flush-caches", c.wrap("admin.flush", c.handleAdminFan("/admin/flush-caches")))
-	c.mux.HandleFunc("POST /admin/snapshot", c.wrap("admin.snapshot", c.handleAdminFan("/admin/snapshot")))
-}
-
-// wrap mirrors Server.wrap for the coordinator: request-id minting and
-// propagation (the inbound header is overwritten with the resolved id,
-// so every worker hop carries it), body bounding, metrics, structured
-// logging, and error rendering.
-func (c *Coordinator) wrap(handler string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		c.cm.inflight.Add(1)
-		defer c.cm.inflight.Add(-1)
-		reqID := requestID(r)
-		w.Header().Set("X-Request-ID", reqID)
-		r.Header.Set("X-Request-ID", reqID)
-		r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-		sw := &statusWriter{ResponseWriter: w}
-		if err := h(sw, r); err != nil {
-			c.renderError(sw, err)
-		}
-		if sw.status == 0 {
-			sw.status = 200
-		}
-		d := time.Since(start)
-		c.cm.request(handler, sw.status, d)
-		c.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-			slog.String("role", "coordinator"),
-			slog.String("handler", handler),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.Duration("duration", d),
-			slog.String("request_id", reqID),
-		)
-	}
-}
-
-func (c *Coordinator) renderError(w *statusWriter, err error) {
-	if w.status != 0 {
-		// Headers already sent (mid-merge failure); the in-band trailer
-		// already told the client.
-		return
-	}
-	he := &httpError{status: 500, message: err.Error()}
-	var cast *httpError
-	if errors.As(err, &cast) {
-		he = cast
-	} else if errors.Is(err, context.DeadlineExceeded) {
-		he = &httpError{status: 504, message: "cluster fan-out deadline exceeded"}
-		c.cm.timeouts.Add(1)
-	} else if errors.Is(err, context.Canceled) {
-		he = &httpError{status: 499, message: "request cancelled"}
-	}
-	if he.status == 504 {
-		c.cm.timeouts.Add(1)
-	}
-	if he.retryAfter > 0 {
-		w.Header().Set("Retry-After", fmt.Sprint(he.retryAfter))
-	}
-	body := map[string]any{"error": he.message}
-	writeJSON(w, he.status, body)
+	f.handle("POST /admin/flush-caches", "admin.flush", c.handleAdminFan("/admin/flush-caches"))
+	f.handle("POST /admin/snapshot", "admin.snapshot", c.handleAdminFan("/admin/snapshot"))
 }
 
 // clusterErr maps a worker-client error onto the coordinator's HTTP
@@ -234,6 +154,10 @@ func (c *Coordinator) renderError(w *statusWriter, err error) {
 // deadline spent inside the fan-out, 499 for the client hanging up,
 // 502 for a shard that was reachable on paper but failed in transit.
 func clusterErr(err error) error {
+	if errors.As(err, new(*http.MaxBytesError)) {
+		// The client's body outgrew the cap while being forwarded.
+		return bodyErr(err)
+	}
 	st := cluster.StatusFor(err)
 	he := &httpError{status: st, message: err.Error()}
 	if st == http.StatusServiceUnavailable {
@@ -242,21 +166,13 @@ func clusterErr(err error) error {
 	return he
 }
 
-// streamDisconnect mirrors Server.streamDisconnect: the merged stream's
-// client went away mid-response; count it and end quietly (headers are
-// long gone).
-func (c *Coordinator) streamDisconnect() error {
-	c.cm.disconnects.Add(1)
-	return nil
-}
-
 // --- observability ---
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
 	writeJSON(w, 200, map[string]any{
 		"status":     "ok",
 		"role":       "coordinator",
-		"uptime":     time.Since(c.cm.start).String(),
+		"uptime":     time.Since(c.front.start).String(),
 		"workers":    c.ring.N(),
 		"workers_up": c.ring.UpCount(),
 	})
@@ -323,182 +239,24 @@ func (c *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) erro
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) error {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	c.cm.writeProm(w, c)
+	c.front.writeProm(w)
+	c.writeProm(w)
 	return nil
 }
 
 func (c *Coordinator) handleVarz(w http.ResponseWriter, _ *http.Request) error {
 	writeJSON(w, 200, map[string]any{
-		"coordinator": map[string]any{
-			"uptime":             time.Since(c.cm.start).String(),
-			"inflight":           c.cm.inflight.Load(),
-			"timeouts":           c.cm.timeouts.Load(),
-			"disconnects":        c.cm.disconnects.Load(),
-			"merged_tuples":      c.cm.mergedTuples.Load(),
-			"shard_errors":       c.cm.shardErrors.Load(),
+		"coordinator": c.front.varz(map[string]any{
+			"merged_tuples":      c.mergedTuples.Load(),
+			"shard_errors":       c.shardErrors.Load(),
 			"retries":            c.client.Retries.Load(),
 			"breaker_fast_fails": c.client.BreakerFastFails.Load(),
 			"down_fast_fails":    c.client.DownFastFails.Load(),
 			"vnodes":             c.ring.VNodes(),
 			"workers":            c.ring.N(),
 			"workers_up":         c.ring.UpCount(),
-		},
+		}),
 		"workers": c.prober.Status(),
 	})
 	return nil
-}
-
-// coordMetrics is the coordinator's observability state: per-handler
-// request counters and latency histograms plus fan-out health counters.
-// Cluster-wide document/query/view gauges come from the prober's cached
-// worker statuses, so a /metrics scrape never fans out.
-type coordMetrics struct {
-	start time.Time
-
-	mu         sync.Mutex
-	requests   map[string]*atomic.Uint64 // "handler|code" -> count
-	handlerLat map[string]*histogram
-
-	inflight     atomic.Int64
-	timeouts     atomic.Uint64 // fan-outs cancelled by deadline (504)
-	disconnects  atomic.Uint64 // merged streams aborted by client disconnect
-	mergedTuples atomic.Uint64 // tuple frames relayed through merged streams
-	shardErrors  atomic.Uint64 // per-shard failures inside scatter-gathers
-}
-
-func newCoordMetrics() *coordMetrics {
-	return &coordMetrics{
-		start:      time.Now(),
-		requests:   map[string]*atomic.Uint64{},
-		handlerLat: map[string]*histogram{},
-	}
-}
-
-func (m *coordMetrics) request(handler string, code int, d time.Duration) {
-	key := fmt.Sprintf("%s|%d", handler, code)
-	m.mu.Lock()
-	ctr, ok := m.requests[key]
-	if !ok {
-		ctr = &atomic.Uint64{}
-		m.requests[key] = ctr
-	}
-	h, ok := m.handlerLat[handler]
-	if !ok {
-		h = newHistogram()
-		m.handlerLat[handler] = h
-	}
-	m.mu.Unlock()
-	ctr.Add(1)
-	h.observe(d)
-}
-
-func (m *coordMetrics) get(key string) uint64 {
-	m.mu.Lock()
-	ctr := m.requests[key]
-	m.mu.Unlock()
-	if ctr == nil {
-		return 0
-	}
-	return ctr.Load()
-}
-
-// writeProm renders the coordinator's Prometheus exposition: its own
-// request counters plus the cluster aggregates (worker up/down, probe
-// RTT, summed object counts) from the prober's cache.
-func (m *coordMetrics) writeProm(w io.Writer, c *Coordinator) {
-	fmt.Fprintf(w, "# HELP spannerd_coordinator_uptime_seconds Time since the coordinator started.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_coordinator_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "spannerd_coordinator_uptime_seconds %g\n", time.Since(m.start).Seconds())
-
-	sts := c.prober.Status()
-	var docs, queries, views int
-	up := 0
-	for _, st := range sts {
-		if st.Up {
-			up++
-			docs += st.Docs
-			queries = max(queries, st.Queries)
-			views += st.Views
-		}
-	}
-	fmt.Fprintf(w, "# HELP spannerd_cluster_workers Configured workers on the ring.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_cluster_workers gauge\n")
-	fmt.Fprintf(w, "spannerd_cluster_workers %d\n", c.ring.N())
-	fmt.Fprintf(w, "# HELP spannerd_cluster_workers_up Workers currently passing health probes.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_cluster_workers_up gauge\n")
-	fmt.Fprintf(w, "spannerd_cluster_workers_up %d\n", up)
-	fmt.Fprintf(w, "# HELP spannerd_cluster_documents Documents across up shards (prober-cached).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_cluster_documents gauge\n")
-	fmt.Fprintf(w, "spannerd_cluster_documents %d\n", docs)
-	fmt.Fprintf(w, "# HELP spannerd_cluster_queries Prepared queries (every shard holds the full registry; max over up shards).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_cluster_queries gauge\n")
-	fmt.Fprintf(w, "spannerd_cluster_queries %d\n", queries)
-	fmt.Fprintf(w, "# HELP spannerd_cluster_views Live views across up shards (prober-cached).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_cluster_views gauge\n")
-	fmt.Fprintf(w, "spannerd_cluster_views %d\n", views)
-
-	fmt.Fprintf(w, "# HELP spannerd_cluster_worker_up Per-worker probe verdict (1 = routable).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_cluster_worker_up gauge\n")
-	for _, st := range sts {
-		v := 0
-		if st.Up {
-			v = 1
-		}
-		fmt.Fprintf(w, "spannerd_cluster_worker_up{worker=%q} %d\n", st.URL, v)
-	}
-	fmt.Fprintf(w, "# HELP spannerd_cluster_worker_probe_rtt_seconds Last health-probe round trip per worker.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_cluster_worker_probe_rtt_seconds gauge\n")
-	for _, st := range sts {
-		fmt.Fprintf(w, "spannerd_cluster_worker_probe_rtt_seconds{worker=%q} %g\n", st.URL, st.RTT.Seconds())
-	}
-	fmt.Fprintf(w, "# HELP spannerd_cluster_worker_transitions_total Up/down flips per worker since the prober started.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_cluster_worker_transitions_total counter\n")
-	for _, st := range sts {
-		fmt.Fprintf(w, "spannerd_cluster_worker_transitions_total{worker=%q} %d\n", st.URL, st.Transitions)
-	}
-	fmt.Fprintf(w, "# HELP spannerd_cluster_breaker_open Per-worker circuit breaker state (1 = open, refusing requests).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_cluster_breaker_open gauge\n")
-	for i := 0; i < c.ring.N(); i++ {
-		v := 0
-		if c.client.Breaker(i).State() == "open" {
-			v = 1
-		}
-		fmt.Fprintf(w, "spannerd_cluster_breaker_open{worker=%q} %d\n", c.ring.URL(i), v)
-	}
-
-	fmt.Fprintf(w, "# HELP spannerd_coordinator_inflight_requests Requests currently being coordinated.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_coordinator_inflight_requests gauge\n")
-	fmt.Fprintf(w, "spannerd_coordinator_inflight_requests %d\n", m.inflight.Load())
-	fmt.Fprintf(w, "# HELP spannerd_coordinator_retries_total Idempotent reads retried against workers.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_coordinator_retries_total counter\n")
-	fmt.Fprintf(w, "spannerd_coordinator_retries_total %d\n", c.client.Retries.Load())
-	fmt.Fprintf(w, "# HELP spannerd_coordinator_breaker_fast_fails_total Requests refused by an open per-worker breaker.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_coordinator_breaker_fast_fails_total counter\n")
-	fmt.Fprintf(w, "spannerd_coordinator_breaker_fast_fails_total %d\n", c.client.BreakerFastFails.Load())
-	fmt.Fprintf(w, "# HELP spannerd_coordinator_down_fast_fails_total Requests refused because the owning worker is down.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_coordinator_down_fast_fails_total counter\n")
-	fmt.Fprintf(w, "spannerd_coordinator_down_fast_fails_total %d\n", c.client.DownFastFails.Load())
-	fmt.Fprintf(w, "# HELP spannerd_coordinator_timeouts_total Fan-outs cancelled by their deadline.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_coordinator_timeouts_total counter\n")
-	fmt.Fprintf(w, "spannerd_coordinator_timeouts_total %d\n", m.timeouts.Load())
-	fmt.Fprintf(w, "# HELP spannerd_coordinator_disconnects_total Merged streams aborted by client disconnect.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_coordinator_disconnects_total counter\n")
-	fmt.Fprintf(w, "spannerd_coordinator_disconnects_total %d\n", m.disconnects.Load())
-	fmt.Fprintf(w, "# HELP spannerd_coordinator_merged_tuples_total Tuple frames relayed through merged multi-document streams.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_coordinator_merged_tuples_total counter\n")
-	fmt.Fprintf(w, "spannerd_coordinator_merged_tuples_total %d\n", m.mergedTuples.Load())
-	fmt.Fprintf(w, "# HELP spannerd_coordinator_shard_errors_total Per-shard failures inside scatter-gathers (partial results).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_coordinator_shard_errors_total counter\n")
-	fmt.Fprintf(w, "spannerd_coordinator_shard_errors_total %d\n", m.shardErrors.Load())
-
-	fmt.Fprintf(w, "# HELP spannerd_coordinator_requests_total Requests served by the coordinator, by handler and status code.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_coordinator_requests_total counter\n")
-	for _, k := range sortedKeys(&m.mu, m.requests) {
-		h, code, _ := cut(k)
-		fmt.Fprintf(w, "spannerd_coordinator_requests_total{handler=%q,code=%q} %d\n", h, code, m.get(k))
-	}
-
-	writeHistograms(w, "spannerd_coordinator_request_duration_seconds",
-		"Wall-clock coordinator request latency by handler (includes the worker hop).",
-		&m.mu, m.handlerLat, func(k string) string { return fmt.Sprintf("handler=%q", k) })
 }

@@ -60,7 +60,7 @@ func (c *Coordinator) outgoing(ctx context.Context, method string, worker int, p
 // response verbatim. GETs go through the retrying idempotent path;
 // mutations are sent exactly once.
 func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, worker int) error {
-	ctx, cancel, err := requestContextFor(r, c.cfg.RequestTimeout, c.cfg.MaxTimeout)
+	ctx, cancel, err := c.front.requestContext(r)
 	if err != nil {
 		return err
 	}
@@ -85,15 +85,17 @@ func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, worker int) 
 	}
 	defer release()
 	defer resp.Body.Close()
-	return c.relay(w, resp, worker)
+	return c.relay(w, r, resp, worker)
 }
 
 // relay copies a worker response to the client, flushing as chunks
 // arrive so proxied NDJSON streams stay streams. A worker dying
 // mid-relay cannot be turned into a status anymore (headers are out);
 // it is counted as a shard error and the truncated body speaks for
-// itself — NDJSON clients see the missing summary trailer.
-func (c *Coordinator) relay(w http.ResponseWriter, resp *http.Response, worker int) error {
+// itself — NDJSON clients see the missing summary trailer. A client
+// hanging up is a disconnect, whether the next write fails or the
+// worker read is cancelled first.
+func (c *Coordinator) relay(w http.ResponseWriter, r *http.Request, resp *http.Response, worker int) error {
 	for _, h := range []string{"Content-Type", "Retry-After", "X-Streaming-Plan"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -107,17 +109,20 @@ func (c *Coordinator) relay(w http.ResponseWriter, resp *http.Response, worker i
 		n, rerr := resp.Body.Read(buf)
 		if n > 0 {
 			if _, werr := w.Write(buf[:n]); werr != nil {
-				return c.streamDisconnect()
+				return c.front.disconnect(w)
 			}
 			if ferr := rc.Flush(); ferr != nil && !errors.Is(ferr, http.ErrNotSupported) {
-				return c.streamDisconnect()
+				return c.front.disconnect(w)
 			}
 		}
 		if rerr == io.EOF {
 			return nil
 		}
 		if rerr != nil {
-			c.cm.shardErrors.Add(1)
+			if r.Context().Err() != nil {
+				return c.front.disconnect(w)
+			}
+			c.shardErrors.Add(1)
 			return nil
 		}
 	}
@@ -207,7 +212,7 @@ func (c *Coordinator) fanAll(ctx context.Context, r *http.Request, method, path 
 // each document with its shard. A down worker's documents are simply
 // absent; the response says so with partial=true and an errors list.
 func (c *Coordinator) handleDocListFan(w http.ResponseWriter, r *http.Request) error {
-	ctx, cancel, err := requestContextFor(r, c.cfg.RequestTimeout, c.cfg.MaxTimeout)
+	ctx, cancel, err := c.front.requestContext(r)
 	if err != nil {
 		return err
 	}
@@ -227,7 +232,7 @@ func (c *Coordinator) handleDocListFan(w http.ResponseWriter, r *http.Request) e
 			if res.Err == "" {
 				res.Err = fmt.Sprintf("worker %s: /docs status %d", res.Worker, res.Status)
 			}
-			c.cm.shardErrors.Add(1)
+			c.shardErrors.Add(1)
 			errsList = append(errsList, res)
 			continue
 		}
@@ -261,7 +266,7 @@ func (c *Coordinator) handleDocListFan(w http.ResponseWriter, r *http.Request) e
 
 // handleViewListFan merges every up worker's /views listing.
 func (c *Coordinator) handleViewListFan(w http.ResponseWriter, r *http.Request) error {
-	ctx, cancel, err := requestContextFor(r, c.cfg.RequestTimeout, c.cfg.MaxTimeout)
+	ctx, cancel, err := c.front.requestContext(r)
 	if err != nil {
 		return err
 	}
@@ -277,7 +282,7 @@ func (c *Coordinator) handleViewListFan(w http.ResponseWriter, r *http.Request) 
 			if res.Err == "" {
 				res.Err = fmt.Sprintf("worker %s: /views status %d", res.Worker, res.Status)
 			}
-			c.cm.shardErrors.Add(1)
+			c.shardErrors.Add(1)
 			errsList = append(errsList, res)
 			continue
 		}
@@ -326,14 +331,14 @@ func (c *Coordinator) handleViewListFan(w http.ResponseWriter, r *http.Request) 
 func (c *Coordinator) handleQueryPutFan(w http.ResponseWriter, r *http.Request) error {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		return errBadRequest("reading body: " + err.Error())
+		return bodyErr(err)
 	}
 	name := r.PathValue("name")
 	if up := c.ring.UpCount(); up < c.ring.N() {
 		return errUnavailable(fmt.Sprintf(
 			"cluster degraded: %d/%d workers up; query registration needs every shard", up, c.ring.N()))
 	}
-	ctx, cancel, err := requestContextFor(r, c.cfg.RequestTimeout, c.cfg.MaxTimeout)
+	ctx, cancel, err := c.front.requestContext(r)
 	if err != nil {
 		return err
 	}
@@ -362,7 +367,7 @@ func (c *Coordinator) handleQueryPutFan(w http.ResponseWriter, r *http.Request) 
 	if len(succeeded) > 0 {
 		c.fanAll(ctx, r, http.MethodDelete, path, nil, false)
 	}
-	c.cm.shardErrors.Add(uint64(len(failed)))
+	c.shardErrors.Add(uint64(len(failed)))
 	// All shards rejecting identically (e.g. a lint error) is the
 	// worker's verdict, not a gateway fault: relay it as-is.
 	if len(succeeded) == 0 && allSameStatus(failed) && failed[0].Err == "" {
@@ -388,7 +393,7 @@ func (c *Coordinator) handleQueryDeleteFan(w http.ResponseWriter, r *http.Reques
 		return errUnavailable(fmt.Sprintf(
 			"cluster degraded: %d/%d workers up; query deletion needs every shard", up, c.ring.N()))
 	}
-	ctx, cancel, err := requestContextFor(r, c.cfg.RequestTimeout, c.cfg.MaxTimeout)
+	ctx, cancel, err := c.front.requestContext(r)
 	if err != nil {
 		return err
 	}
@@ -412,7 +417,7 @@ func (c *Coordinator) handleQueryDeleteFan(w http.ResponseWriter, r *http.Reques
 		}
 	}
 	if len(failed) > 0 {
-		c.cm.shardErrors.Add(uint64(len(failed)))
+		c.shardErrors.Add(uint64(len(failed)))
 		writeJSON(w, http.StatusBadGateway, map[string]any{
 			"error":   fmt.Sprintf("query deletion failed on %d/%d workers", len(failed), c.ring.N()),
 			"workers": results,
@@ -434,7 +439,7 @@ func (c *Coordinator) handleQueryDeleteFan(w http.ResponseWriter, r *http.Reques
 // every up worker and reports per-worker outcomes.
 func (c *Coordinator) handleAdminFan(path string) func(http.ResponseWriter, *http.Request) error {
 	return func(w http.ResponseWriter, r *http.Request) error {
-		ctx, cancel, err := requestContextFor(r, c.cfg.RequestTimeout, c.cfg.MaxTimeout)
+		ctx, cancel, err := c.front.requestContext(r)
 		if err != nil {
 			return err
 		}
@@ -450,10 +455,10 @@ func (c *Coordinator) handleAdminFan(path string) func(http.ResponseWriter, *htt
 			if res.Err != "" {
 				entry["error"] = res.Err
 				status = http.StatusBadGateway
-				c.cm.shardErrors.Add(1)
+				c.shardErrors.Add(1)
 			} else if res.Status != 200 {
 				status = http.StatusBadGateway
-				c.cm.shardErrors.Add(1)
+				c.shardErrors.Add(1)
 			} else {
 				var body map[string]any
 				if err := json.Unmarshal(res.Body, &body); err == nil {

@@ -81,6 +81,13 @@ func (o *mergedOut) write(doc string, frame []byte) bool {
 	return true
 }
 
+// satisfied reports whether the global limit has been reached.
+func (o *mergedOut) satisfied() bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.limit > 0 && o.n >= o.limit
+}
+
 // shardStreamResult is one document's outcome inside a merged stream.
 type shardStreamResult struct {
 	Doc     string `json:"doc"`
@@ -92,7 +99,7 @@ type shardStreamResult struct {
 }
 
 func (c *Coordinator) handleMergedStream(w http.ResponseWriter, r *http.Request) error {
-	ctx, cancel, err := requestContextFor(r, c.cfg.RequestTimeout, c.cfg.MaxTimeout)
+	ctx, cancel, err := c.front.requestContext(r)
 	if err != nil {
 		return err
 	}
@@ -135,10 +142,12 @@ func (c *Coordinator) handleMergedStream(w http.ResponseWriter, r *http.Request)
 	})
 	took := time.Since(start)
 
-	if out.dead {
-		return c.streamDisconnect()
+	if out.dead || r.Context().Err() != nil {
+		// The client went away: a failed write, or shard fetches
+		// cancelled with its request before any write could fail.
+		return c.front.disconnect(w)
 	}
-	c.cm.mergedTuples.Add(uint64(out.n))
+	c.mergedTuples.Add(uint64(out.n))
 
 	var shards, shardErrs []shardStreamResult
 	for i, res := range results {
@@ -153,14 +162,8 @@ func (c *Coordinator) handleMergedStream(w http.ResponseWriter, r *http.Request)
 				res.Status = http.StatusGatewayTimeout
 			}
 		}
-		if res.Err != "" && res.Status == 499 && limit > 0 && out.n >= limit {
-			// The global limit cancelled this shard's fetch mid-flight;
-			// that is satisfaction, not failure.
-			res.Err = ""
-			res.Status = 0
-		}
 		if res.Err != "" {
-			c.cm.shardErrors.Add(1)
+			c.shardErrors.Add(1)
 			shardErrs = append(shardErrs, res)
 		} else {
 			shards = append(shards, res)
@@ -193,10 +196,10 @@ func (c *Coordinator) handleMergedStream(w http.ResponseWriter, r *http.Request)
 	}
 	line, _ := json.Marshal(summary)
 	if e := enc.WriteLine(line); e != nil {
-		return c.streamDisconnect()
+		return c.front.disconnect(w)
 	}
 	if e := enc.Flush(rc); e != nil {
-		return c.streamDisconnect()
+		return c.front.disconnect(w)
 	}
 	return nil
 }
@@ -208,6 +211,16 @@ func (c *Coordinator) handleMergedStream(w http.ResponseWriter, r *http.Request)
 func (c *Coordinator) streamOneShard(ctx context.Context, r *http.Request, out *mergedOut, query, name, contentParam string, limit int) shardStreamResult {
 	wk := c.ring.Owner(name)
 	res := shardStreamResult{Doc: name, Worker: c.ring.URL(wk)}
+	// fail records this document's error — unless the global limit has
+	// been reached: the merged stream then cancels its own shard
+	// fetches, and whatever error that cancellation surfaces as (a
+	// failed fetch, a cancelled body read) is satisfaction, not failure.
+	fail := func(status int, msg string) shardStreamResult {
+		if !out.satisfied() {
+			res.Err, res.Status = msg, status
+		}
+		return res
+	}
 	q := url.Values{"query": {query}, "doc": {name}}
 	if contentParam != "" {
 		q.Set("content", contentParam)
@@ -219,17 +232,13 @@ func (c *Coordinator) streamOneShard(ctx context.Context, r *http.Request, out *
 		return c.outgoing(ctx, http.MethodGet, wk, "/stream", q, nil, r)
 	})
 	if err != nil {
-		res.Err = err.Error()
-		res.Status = cluster.StatusFor(err)
-		return res
+		return fail(cluster.StatusFor(err), err.Error())
 	}
 	defer release()
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		res.Err = workerErrorMessage(body, resp.StatusCode)
-		res.Status = resp.StatusCode
-		return res
+		return fail(resp.StatusCode, workerErrorMessage(body, resp.StatusCode))
 	}
 	sc := cluster.NewFrameScanner(resp.Body)
 	for {
@@ -238,15 +247,12 @@ func (c *Coordinator) streamOneShard(ctx context.Context, r *http.Request, out *
 			sum := sc.Summary()
 			res.Version = sum.Version
 			if !sum.Done && sum.Error != "" {
-				res.Err = "worker aborted mid-stream: " + sum.Error
-				res.Status = http.StatusBadGateway
+				return fail(http.StatusBadGateway, "worker aborted mid-stream: "+sum.Error)
 			}
 			return res
 		}
 		if err != nil {
-			res.Err = err.Error()
-			res.Status = http.StatusBadGateway
-			return res
+			return fail(http.StatusBadGateway, err.Error())
 		}
 		if !out.write(name, frame) {
 			// Global limit hit or client gone; the frames already relayed
@@ -324,7 +330,7 @@ func (c *Coordinator) handleBatchScatter(w http.ResponseWriter, r *http.Request)
 	if req.Query == "" {
 		return errBadRequest("batch needs a query name")
 	}
-	ctx, cancel, err := requestContextFor(r, c.cfg.RequestTimeout, c.cfg.MaxTimeout)
+	ctx, cancel, err := c.front.requestContext(r)
 	if err != nil {
 		return err
 	}
@@ -428,7 +434,7 @@ func (c *Coordinator) handleBatchScatter(w http.ResponseWriter, r *http.Request)
 				firstStatus = st
 			}
 			failures++
-			c.cm.shardErrors.Add(1)
+			c.shardErrors.Add(1)
 			for _, p := range sb.pos {
 				results[p] = map[string]any{
 					"doc":    req.Docs[p],

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,7 +26,7 @@ func (s *Server) handleDocPut(w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
-		return errBadRequest("reading body: " + err.Error())
+		return bodyErr(err)
 	}
 	sd, err := s.store.put(name, data, boolParam(r, "compress"))
 	// A non-nil snapshot means the mutation is visible (even when only
@@ -149,7 +150,7 @@ func (s *Server) handleQueryPut(w http.ResponseWriter, r *http.Request) error {
 	// storage backend persists and recovery re-registers.
 	raw, err := io.ReadAll(r.Body)
 	if err != nil {
-		return errBadRequest("reading body: " + err.Error())
+		return bodyErr(err)
 	}
 	name := r.PathValue("name")
 	info, err := s.queries.register(name, raw)
@@ -219,22 +220,6 @@ func (s *Server) evalTarget(r *http.Request) (*preparedQuery, *storedDoc, error)
 		return nil, nil, err
 	}
 	return p, d, nil
-}
-
-// tupleJSON renders a tuple as {"x": {"begin": 1, "end": 3, "content": "ab"}, ...}.
-// Spans follow the survey's convention: 1-based, end-exclusive. content
-// is included unless the request said ?content=0.
-func tupleJSON(t docspanner.Tuple, doc []byte, withContent bool) map[string]any {
-	out := make(map[string]any, len(t))
-	for _, v := range t.Vars() {
-		sp := t[v]
-		m := map[string]any{"begin": sp.Begin, "end": sp.End}
-		if withContent && doc != nil {
-			m["content"] = string(sp.Content(doc))
-		}
-		out[string(v)] = m
-	}
-	return out
 }
 
 // withContent defaults to true; ?content=0 turns span contents off.
@@ -419,7 +404,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 	took := time.Since(start)
 	s.metrics.query(p.name, "stream", n, took)
 	if ioErr != nil {
-		return s.streamDisconnect(w)
+		return s.front.disconnect(w)
 	}
 	summary := map[string]any{"done": true, "count": n, "took": took.String(), "version": d.version}
 	if err != nil {
@@ -434,10 +419,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 	// reports the dead connection.
 	line, _ := json.Marshal(summary)
 	if e := enc.WriteLine(line); e != nil {
-		return s.streamDisconnect(w)
+		return s.front.disconnect(w)
 	}
 	if e := enc.Flush(rc); e != nil {
-		return s.streamDisconnect(w)
+		return s.front.disconnect(w)
 	}
 	return nil
 }
@@ -555,6 +540,9 @@ func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			return bodyErr(err)
+		}
 		return errBadRequest(fmt.Sprintf("bad JSON body: %s", err))
 	}
 	return nil

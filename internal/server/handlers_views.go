@@ -215,12 +215,12 @@ func (s *Server) handleDocChanges(w http.ResponseWriter, r *http.Request) error 
 
 	for _, t := range removed {
 		if err := enc.EncodeChange("remove", t, nil, false); err != nil {
-			return s.streamDisconnect(w)
+			return s.front.disconnect(w)
 		}
 	}
 	for _, t := range added {
 		if err := enc.EncodeChange("add", t, nil, false); err != nil {
-			return s.streamDisconnect(w)
+			return s.front.disconnect(w)
 		}
 	}
 	key := v.Key()
@@ -234,20 +234,10 @@ func (s *Server) handleDocChanges(w http.ResponseWriter, r *http.Request) error 
 		"removed": len(removed),
 	})
 	if err := enc.WriteLine(line); err != nil {
-		return s.streamDisconnect(w)
+		return s.front.disconnect(w)
 	}
 	if err := enc.Flush(rc); err != nil {
-		return s.streamDisconnect(w)
-	}
-	return nil
-}
-
-// streamDisconnect records a mid-stream client disconnect as a 499;
-// handleStream and handleDocChanges share it.
-func (s *Server) streamDisconnect(w http.ResponseWriter) error {
-	s.metrics.disconnects.Add(1)
-	if sw, ok := w.(*statusWriter); ok {
-		sw.status = 499
+		return s.front.disconnect(w)
 	}
 	return nil
 }

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,40 +68,32 @@ func (h *histogram) quantile(q float64) float64 {
 	return latencyBuckets[len(latencyBuckets)-1] * 2
 }
 
-// metrics is the server's observability state: request and tuple
-// counters, per-handler and per-query latency histograms, and the
-// process-wide cache statistics it snapshots on render. All methods are
-// safe for concurrent use.
+// metrics is the worker's own observability state beyond the request
+// front: tuple counters, per-query and per-view latency histograms, and
+// the process-wide cache statistics it snapshots on render. All methods
+// are safe for concurrent use.
 type metrics struct {
-	start time.Time
+	mu       sync.Mutex
+	tuples   map[labelPair]*atomic.Uint64 // (query, kind) -> tuples emitted
+	queryLat map[labelPair]*histogram     // (query, kind) -> latency
+	viewLat  map[labelPair]*histogram     // (doc, query) -> view refresh latency
 
-	mu         sync.Mutex
-	requests   map[string]*atomic.Uint64 // "handler|code" -> count
-	tuples     map[string]*atomic.Uint64 // "query|kind" -> tuples emitted
-	handlerLat map[string]*histogram     // handler -> latency
-	queryLat   map[string]*histogram     // "query|kind" -> latency
-	viewLat    map[string]*histogram     // "doc|query" -> view refresh latency
-
-	inflight      atomic.Int64
 	rejected      atomic.Uint64 // requests refused by the concurrency limiter
-	timeouts      atomic.Uint64 // requests cancelled by deadline
-	disconnects   atomic.Uint64 // streams aborted by client disconnect (499)
 	viewRefreshes atomic.Uint64 // view refreshes performed (stale skips excluded)
-	syncFailures  atomic.Uint64 // mutations applied and logged whose fsync barrier failed
 }
+
+// labelPair keys a two-label series: (query, kind) or (doc, query).
+type labelPair [2]string
 
 func newMetrics() *metrics {
 	return &metrics{
-		start:      time.Now(),
-		requests:   map[string]*atomic.Uint64{},
-		tuples:     map[string]*atomic.Uint64{},
-		handlerLat: map[string]*histogram{},
-		queryLat:   map[string]*histogram{},
-		viewLat:    map[string]*histogram{},
+		tuples:   map[labelPair]*atomic.Uint64{},
+		queryLat: map[labelPair]*histogram{},
+		viewLat:  map[labelPair]*histogram{},
 	}
 }
 
-func (m *metrics) counter(table map[string]*atomic.Uint64, key string) *atomic.Uint64 {
+func (m *metrics) counter(table map[labelPair]*atomic.Uint64, key labelPair) *atomic.Uint64 {
 	m.mu.Lock()
 	c, ok := table[key]
 	if !ok {
@@ -109,7 +104,7 @@ func (m *metrics) counter(table map[string]*atomic.Uint64, key string) *atomic.U
 	return c
 }
 
-func (m *metrics) histogramFor(table map[string]*histogram, key string) *histogram {
+func (m *metrics) histogramFor(table map[labelPair]*histogram, key labelPair) *histogram {
 	m.mu.Lock()
 	h, ok := table[key]
 	if !ok {
@@ -120,152 +115,82 @@ func (m *metrics) histogramFor(table map[string]*histogram, key string) *histogr
 	return h
 }
 
-func (m *metrics) request(handler string, code int, d time.Duration) {
-	m.counter(m.requests, fmt.Sprintf("%s|%d", handler, code)).Add(1)
-	m.histogramFor(m.handlerLat, handler).observe(d)
-}
-
 func (m *metrics) query(name, kind string, tuples int, d time.Duration) {
-	m.counter(m.tuples, name+"|"+kind).Add(uint64(tuples))
-	m.histogramFor(m.queryLat, name+"|"+kind).observe(d)
+	m.counter(m.tuples, labelPair{name, kind}).Add(uint64(tuples))
+	m.histogramFor(m.queryLat, labelPair{name, kind}).observe(d)
 }
 
 func (m *metrics) viewRefresh(doc, query string, d time.Duration) {
 	m.viewRefreshes.Add(1)
-	m.histogramFor(m.viewLat, doc+"|"+query).observe(d)
+	m.histogramFor(m.viewLat, labelPair{doc, query}).observe(d)
 }
 
-// sortedKeys snapshots a label table's keys under the lock for
-// deterministic exposition.
-func sortedKeys[V any](mu *sync.Mutex, table map[string]V) []string {
+// sortedEntries snapshots a label table under the lock, in label order,
+// for deterministic exposition.
+func sortedEntries[V any](mu *sync.Mutex, table map[labelPair]V) []labeled[V] {
 	mu.Lock()
-	keys := make([]string, 0, len(table))
-	for k := range table {
-		keys = append(keys, k)
+	out := make([]labeled[V], 0, len(table))
+	for k, v := range table {
+		out = append(out, labeled[V]{k, v})
 	}
 	mu.Unlock()
-	sort.Strings(keys)
-	return keys
+	slices.SortFunc(out, func(a, b labeled[V]) int {
+		return cmp.Or(strings.Compare(a.key[0], b.key[0]), strings.Compare(a.key[1], b.key[1]))
+	})
+	return out
 }
 
-func (m *metrics) get(table map[string]*atomic.Uint64, key string) uint64 {
-	m.mu.Lock()
-	c := table[key]
-	m.mu.Unlock()
-	if c == nil {
-		return 0
-	}
-	return c.Load()
+type labeled[V any] struct {
+	key labelPair
+	v   V
 }
 
-// writeProm renders the Prometheus text exposition format.
-func (m *metrics) writeProm(w io.Writer, docs, queries, views int, st storage.Stats) {
-	fmt.Fprintf(w, "# HELP spannerd_uptime_seconds Time since the server started.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "spannerd_uptime_seconds %g\n", time.Since(m.start).Seconds())
-
-	fmt.Fprintf(w, "# HELP spannerd_documents Documents in the store.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_documents gauge\n")
-	fmt.Fprintf(w, "spannerd_documents %d\n", docs)
-	fmt.Fprintf(w, "# HELP spannerd_queries Prepared queries in the registry.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_queries gauge\n")
-	fmt.Fprintf(w, "spannerd_queries %d\n", queries)
-	fmt.Fprintf(w, "# HELP spannerd_views Live materialized (doc, query) views.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_views gauge\n")
-	fmt.Fprintf(w, "spannerd_views %d\n", views)
+// writeProm renders the worker's families beyond the front's in the
+// Prometheus text exposition format.
+func (m *metrics) writeProm(w io.Writer, docs, queries, views int, st storage.Stats, syncFailures uint64) {
+	writeScalar(w, family{"spannerd_documents", "Documents in the store."}, "gauge", docs)
+	writeScalar(w, family{"spannerd_queries", "Prepared queries in the registry."}, "gauge", queries)
+	writeScalar(w, family{"spannerd_views", "Live materialized (doc, query) views."}, "gauge", views)
 
 	m.writeStorageProm(w, st)
 
-	fmt.Fprintf(w, "# HELP spannerd_inflight_requests Requests currently being served.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_inflight_requests gauge\n")
-	fmt.Fprintf(w, "spannerd_inflight_requests %d\n", m.inflight.Load())
-	fmt.Fprintf(w, "# HELP spannerd_rejected_total Requests refused by the concurrency limiter.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_rejected_total counter\n")
-	fmt.Fprintf(w, "spannerd_rejected_total %d\n", m.rejected.Load())
-	fmt.Fprintf(w, "# HELP spannerd_timeouts_total Requests cancelled by their deadline.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_timeouts_total counter\n")
-	fmt.Fprintf(w, "spannerd_timeouts_total %d\n", m.timeouts.Load())
-	fmt.Fprintf(w, "# HELP spannerd_client_disconnects_total Streams aborted because the client went away mid-response.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_client_disconnects_total counter\n")
-	fmt.Fprintf(w, "spannerd_client_disconnects_total %d\n", m.disconnects.Load())
-	fmt.Fprintf(w, "# HELP spannerd_storage_sync_failures_total Mutations applied and logged whose durability barrier (fsync) failed; the write is visible but its on-disk persistence is uncertain.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_storage_sync_failures_total counter\n")
-	fmt.Fprintf(w, "spannerd_storage_sync_failures_total %d\n", m.syncFailures.Load())
+	writeScalar(w, family{"spannerd_rejected_total", "Requests refused by the concurrency limiter."}, "counter", m.rejected.Load())
+	writeScalar(w, family{"spannerd_storage_sync_failures_total", "Mutations applied and logged whose durability barrier (fsync) failed; the write is visible but its on-disk persistence is uncertain."}, "counter", syncFailures)
 
-	fmt.Fprintf(w, "# HELP spannerd_requests_total Requests served, by handler and status code.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_requests_total counter\n")
-	for _, k := range sortedKeys(&m.mu, m.requests) {
-		h, code, _ := cut(k)
-		fmt.Fprintf(w, "spannerd_requests_total{handler=%q,code=%q} %d\n", h, code, m.get(m.requests, k))
+	writeFamily(w, family{"spannerd_tuples_total", "Result tuples emitted, by prepared query and request kind."}, "counter")
+	for _, e := range sortedEntries(&m.mu, m.tuples) {
+		fmt.Fprintf(w, "spannerd_tuples_total{query=%q,kind=%q} %d\n", e.key[0], e.key[1], e.v.Load())
 	}
 
-	fmt.Fprintf(w, "# HELP spannerd_tuples_total Result tuples emitted, by prepared query and request kind.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_tuples_total counter\n")
-	for _, k := range sortedKeys(&m.mu, m.tuples) {
-		q, kind, _ := cut(k)
-		fmt.Fprintf(w, "spannerd_tuples_total{query=%q,kind=%q} %d\n", q, kind, m.get(m.tuples, k))
-	}
+	writeHistograms(w, family{"spannerd_query_duration_seconds",
+		"Evaluation latency by prepared query and request kind."},
+		&m.mu, m.queryLat, "query=%q,kind=%q")
 
-	writeHistograms(w, "spannerd_request_duration_seconds",
-		"Wall-clock request latency by handler.",
-		&m.mu, m.handlerLat, func(k string) string { return fmt.Sprintf("handler=%q", k) })
-	writeHistograms(w, "spannerd_query_duration_seconds",
-		"Evaluation latency by prepared query and request kind.",
-		&m.mu, m.queryLat, func(k string) string {
-			q, kind, _ := cut(k)
-			return fmt.Sprintf("query=%q,kind=%q", q, kind)
-		})
-
-	fmt.Fprintf(w, "# HELP spannerd_view_refreshes_total Incremental view refreshes performed (version-stale skips excluded).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_view_refreshes_total counter\n")
-	fmt.Fprintf(w, "spannerd_view_refreshes_total %d\n", m.viewRefreshes.Load())
-	writeHistograms(w, "spannerd_view_refresh_duration_seconds",
-		"Incremental view refresh latency (WarmDelta + count + materialization) by view.",
-		&m.mu, m.viewLat, func(k string) string {
-			d, q, _ := cut(k)
-			return fmt.Sprintf("doc=%q,query=%q", d, q)
-		})
+	writeScalar(w, family{"spannerd_view_refreshes_total", "Incremental view refreshes performed (version-stale skips excluded)."}, "counter", m.viewRefreshes.Load())
+	writeHistograms(w, family{"spannerd_view_refresh_duration_seconds",
+		"Incremental view refresh latency (WarmDelta + count + materialization) by view."},
+		&m.mu, m.viewLat, "doc=%q,query=%q")
 
 	// Edit-aware memo maintenance: process-wide WarmDelta node totals and
 	// the resulting reuse ratio — how much of the touched DAGs the
 	// incremental warms did NOT have to recompute.
 	wr, wu := slpmatch.WarmDeltaStats()
-	fmt.Fprintf(w, "# HELP spannerd_warm_recomputed_nodes_total SLP nodes recomputed by incremental WarmDelta calls (the edit spines).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_warm_recomputed_nodes_total counter\n")
-	fmt.Fprintf(w, "spannerd_warm_recomputed_nodes_total %d\n", wr)
-	fmt.Fprintf(w, "# HELP spannerd_warm_reused_nodes_total Cached subtree roots WarmDelta pruned at instead of recomputing.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_warm_reused_nodes_total counter\n")
-	fmt.Fprintf(w, "spannerd_warm_reused_nodes_total %d\n", wu)
-	fmt.Fprintf(w, "# HELP spannerd_warm_memo_reuse_ratio Fraction of WarmDelta-visited nodes served from the memo since process start.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_warm_memo_reuse_ratio gauge\n")
-	fmt.Fprintf(w, "spannerd_warm_memo_reuse_ratio %s\n", rate(wu, wr))
+	writeScalar(w, family{"spannerd_warm_recomputed_nodes_total", "SLP nodes recomputed by incremental WarmDelta calls (the edit spines)."}, "counter", wr)
+	writeScalar(w, family{"spannerd_warm_reused_nodes_total", "Cached subtree roots WarmDelta pruned at instead of recomputing."}, "counter", wu)
+	writeScalar(w, family{"spannerd_warm_memo_reuse_ratio", "Fraction of WarmDelta-visited nodes served from the memo since process start."}, "gauge", rate(wu, wr))
 
 	// Process-wide shared caches: the hash-consed plan cache and the
 	// slpmatch per-SLP-node matrix cache.
 	ph, pm := plan.CacheStats()
-	fmt.Fprintf(w, "# HELP spannerd_plan_cache_hits_total Plan-cache hits (process-wide).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_plan_cache_hits_total counter\n")
-	fmt.Fprintf(w, "spannerd_plan_cache_hits_total %d\n", ph)
-	fmt.Fprintf(w, "# HELP spannerd_plan_cache_misses_total Plan-cache misses (process-wide).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_plan_cache_misses_total counter\n")
-	fmt.Fprintf(w, "spannerd_plan_cache_misses_total %d\n", pm)
-	fmt.Fprintf(w, "# HELP spannerd_plan_cache_hit_rate Plan-cache hit rate since process start.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_plan_cache_hit_rate gauge\n")
-	fmt.Fprintf(w, "spannerd_plan_cache_hit_rate %s\n", rate(ph, pm))
+	writeScalar(w, family{"spannerd_plan_cache_hits_total", "Plan-cache hits (process-wide)."}, "counter", ph)
+	writeScalar(w, family{"spannerd_plan_cache_misses_total", "Plan-cache misses (process-wide)."}, "counter", pm)
+	writeScalar(w, family{"spannerd_plan_cache_hit_rate", "Plan-cache hit rate since process start."}, "gauge", rate(ph, pm))
 
 	mh, mm := slpmatch.CacheStats()
-	fmt.Fprintf(w, "# HELP spannerd_matrix_cache_hits_total slpmatch per-SLP-node matrix cache hits (process-wide).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_matrix_cache_hits_total counter\n")
-	fmt.Fprintf(w, "spannerd_matrix_cache_hits_total %d\n", mh)
-	fmt.Fprintf(w, "# HELP spannerd_matrix_cache_misses_total slpmatch per-SLP-node matrix cache misses (process-wide).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_matrix_cache_misses_total counter\n")
-	fmt.Fprintf(w, "spannerd_matrix_cache_misses_total %d\n", mm)
-	fmt.Fprintf(w, "# HELP spannerd_matrix_cache_hit_rate slpmatch matrix-cache hit rate since process start.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_matrix_cache_hit_rate gauge\n")
-	fmt.Fprintf(w, "spannerd_matrix_cache_hit_rate %s\n", rate(mh, mm))
-	fmt.Fprintf(w, "# HELP spannerd_matrix_cache_cores Live shared slpmatch cores (one per automaton in use).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_matrix_cache_cores gauge\n")
-	fmt.Fprintf(w, "spannerd_matrix_cache_cores %d\n", slpmatch.Cores())
+	writeScalar(w, family{"spannerd_matrix_cache_hits_total", "slpmatch per-SLP-node matrix cache hits (process-wide)."}, "counter", mh)
+	writeScalar(w, family{"spannerd_matrix_cache_misses_total", "slpmatch per-SLP-node matrix cache misses (process-wide)."}, "counter", mm)
+	writeScalar(w, family{"spannerd_matrix_cache_hit_rate", "slpmatch matrix-cache hit rate since process start."}, "gauge", rate(mh, mm))
+	writeScalar(w, family{"spannerd_matrix_cache_cores", "Live shared slpmatch cores (one per automaton in use)."}, "gauge", slpmatch.Cores())
 }
 
 // writeStorageProm renders the durability backend's counters: WAL
@@ -273,84 +198,119 @@ func (m *metrics) writeProm(w io.Writer, docs, queries, views int, st storage.St
 // did. All families are emitted for both backends; the memory backend
 // reports zeros under backend="memory".
 func (m *metrics) writeStorageProm(w io.Writer, st storage.Stats) {
-	fmt.Fprintf(w, "# HELP spannerd_storage_info The active storage backend (1 = this backend).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_storage_info gauge\n")
+	writeFamily(w, family{"spannerd_storage_info", "The active storage backend (1 = this backend)."}, "gauge")
 	fmt.Fprintf(w, "spannerd_storage_info{backend=%q,persistent=%q} 1\n", st.Kind, fmt.Sprint(st.Persistent))
 
-	fmt.Fprintf(w, "# HELP spannerd_wal_records_total Mutation records appended to the write-ahead log since open.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_wal_records_total counter\n")
-	fmt.Fprintf(w, "spannerd_wal_records_total %d\n", st.WALRecords)
-	fmt.Fprintf(w, "# HELP spannerd_wal_appended_bytes_total Bytes appended to the write-ahead log since open.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_wal_appended_bytes_total counter\n")
-	fmt.Fprintf(w, "spannerd_wal_appended_bytes_total %d\n", st.WALAppendedBytes)
-	fmt.Fprintf(w, "# HELP spannerd_wal_size_bytes Size of the live (post-rotation) log file.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_wal_size_bytes gauge\n")
-	fmt.Fprintf(w, "spannerd_wal_size_bytes %d\n", st.WALSizeBytes)
+	writeScalar(w, family{"spannerd_wal_records_total", "Mutation records appended to the write-ahead log since open."}, "counter", st.WALRecords)
+	writeScalar(w, family{"spannerd_wal_appended_bytes_total", "Bytes appended to the write-ahead log since open."}, "counter", st.WALAppendedBytes)
+	writeScalar(w, family{"spannerd_wal_size_bytes", "Size of the live (post-rotation) log file."}, "gauge", st.WALSizeBytes)
 
-	fmt.Fprintf(w, "# HELP spannerd_wal_fsyncs_total fsync calls issued by the durability barrier.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_wal_fsyncs_total counter\n")
-	fmt.Fprintf(w, "spannerd_wal_fsyncs_total %d\n", st.Fsyncs)
-	fmt.Fprintf(w, "# HELP spannerd_wal_fsync_seconds_total Cumulative time spent in fsync.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_wal_fsync_seconds_total counter\n")
-	fmt.Fprintf(w, "spannerd_wal_fsync_seconds_total %g\n", float64(st.FsyncTotalNanos)/1e9)
-	fmt.Fprintf(w, "# HELP spannerd_wal_fsync_max_seconds Slowest single fsync since open.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_wal_fsync_max_seconds gauge\n")
-	fmt.Fprintf(w, "spannerd_wal_fsync_max_seconds %g\n", float64(st.FsyncMaxNanos)/1e9)
+	writeScalar(w, family{"spannerd_wal_fsyncs_total", "fsync calls issued by the durability barrier."}, "counter", st.Fsyncs)
+	writeScalar(w, family{"spannerd_wal_fsync_seconds_total", "Cumulative time spent in fsync."}, "counter", float64(st.FsyncTotalNanos)/1e9)
+	writeScalar(w, family{"spannerd_wal_fsync_max_seconds", "Slowest single fsync since open."}, "gauge", float64(st.FsyncMaxNanos)/1e9)
 
-	fmt.Fprintf(w, "# HELP spannerd_storage_snapshots_total Snapshots written since open.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_storage_snapshots_total counter\n")
-	fmt.Fprintf(w, "spannerd_storage_snapshots_total %d\n", st.Snapshots)
-	fmt.Fprintf(w, "# HELP spannerd_storage_snapshot_bytes Size of the newest snapshot (grammar-sized, not document-sized).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_storage_snapshot_bytes gauge\n")
-	fmt.Fprintf(w, "spannerd_storage_snapshot_bytes %d\n", st.SnapshotBytes)
+	writeScalar(w, family{"spannerd_storage_snapshots_total", "Snapshots written since open."}, "counter", st.Snapshots)
+	writeScalar(w, family{"spannerd_storage_snapshot_bytes", "Size of the newest snapshot (grammar-sized, not document-sized)."}, "gauge", st.SnapshotBytes)
 	age := -1.0
 	if st.LastSnapshotUnixNano > 0 {
 		age = time.Since(time.Unix(0, st.LastSnapshotUnixNano)).Seconds()
 	}
-	fmt.Fprintf(w, "# HELP spannerd_storage_snapshot_age_seconds Seconds since the newest snapshot (-1 when none exists).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_storage_snapshot_age_seconds gauge\n")
-	fmt.Fprintf(w, "spannerd_storage_snapshot_age_seconds %g\n", age)
+	writeScalar(w, family{"spannerd_storage_snapshot_age_seconds", "Seconds since the newest snapshot (-1 when none exists)."}, "gauge", age)
 
-	fmt.Fprintf(w, "# HELP spannerd_storage_recovered_records WAL records replayed on top of the snapshot at the last open.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_storage_recovered_records gauge\n")
-	fmt.Fprintf(w, "spannerd_storage_recovered_records %d\n", st.RecoveredRecords)
+	writeScalar(w, family{"spannerd_storage_recovered_records", "WAL records replayed on top of the snapshot at the last open."}, "gauge", st.RecoveredRecords)
 	tt := 0
 	if st.RecoveredTornTail {
 		tt = 1
 	}
-	fmt.Fprintf(w, "# HELP spannerd_storage_recovered_torn_tail Whether the last open truncated a torn final record (a crash mid-append).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_storage_recovered_torn_tail gauge\n")
-	fmt.Fprintf(w, "spannerd_storage_recovered_torn_tail %d\n", tt)
+	writeScalar(w, family{"spannerd_storage_recovered_torn_tail", "Whether the last open truncated a torn final record (a crash mid-append)."}, "gauge", tt)
 }
 
-func writeHistograms(w io.Writer, name, help string, mu *sync.Mutex, table map[string]*histogram, labels func(key string) string) {
-	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	for _, k := range sortedKeys(mu, table) {
-		mu.Lock()
-		h := table[k]
-		mu.Unlock()
-		l := labels(k)
-		var cum uint64
-		for i, ub := range latencyBuckets {
-			cum += h.counts[i].Load()
-			fmt.Fprintf(w, "%s_bucket{%s,le=\"%g\"} %d\n", name, l, ub, cum)
+// writeProm renders the coordinator's families beyond the front's: the
+// cluster aggregates (worker up/down, probe RTT, summed object counts)
+// from the prober's cache, so a scrape never fans out, and the fan-out
+// health counters.
+func (c *Coordinator) writeProm(w io.Writer) {
+	sts := c.prober.Status()
+	var docs, queries, views int
+	up := 0
+	for _, st := range sts {
+		if st.Up {
+			up++
+			docs += st.Docs
+			queries = max(queries, st.Queries)
+			views += st.Views
 		}
-		cum += h.counts[len(latencyBuckets)].Load()
-		fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, l, cum)
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, l, float64(h.sumNs.Load())/1e9)
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, l, cum)
+	}
+	writeScalar(w, family{"spannerd_cluster_workers", "Configured workers on the ring."}, "gauge", c.ring.N())
+	writeScalar(w, family{"spannerd_cluster_workers_up", "Workers currently passing health probes."}, "gauge", up)
+	writeScalar(w, family{"spannerd_cluster_documents", "Documents across up shards (prober-cached)."}, "gauge", docs)
+	writeScalar(w, family{"spannerd_cluster_queries", "Prepared queries (every shard holds the full registry; max over up shards)."}, "gauge", queries)
+	writeScalar(w, family{"spannerd_cluster_views", "Live views across up shards (prober-cached)."}, "gauge", views)
+
+	writeFamily(w, family{"spannerd_cluster_worker_up", "Per-worker probe verdict (1 = routable)."}, "gauge")
+	for _, st := range sts {
+		v := 0
+		if st.Up {
+			v = 1
+		}
+		fmt.Fprintf(w, "spannerd_cluster_worker_up{worker=%q} %d\n", st.URL, v)
+	}
+	writeFamily(w, family{"spannerd_cluster_worker_probe_rtt_seconds", "Last health-probe round trip per worker."}, "gauge")
+	for _, st := range sts {
+		fmt.Fprintf(w, "spannerd_cluster_worker_probe_rtt_seconds{worker=%q} %g\n", st.URL, st.RTT.Seconds())
+	}
+	writeFamily(w, family{"spannerd_cluster_worker_transitions_total", "Up/down flips per worker since the prober started."}, "counter")
+	for _, st := range sts {
+		fmt.Fprintf(w, "spannerd_cluster_worker_transitions_total{worker=%q} %d\n", st.URL, st.Transitions)
+	}
+	writeFamily(w, family{"spannerd_cluster_breaker_open", "Per-worker circuit breaker state (1 = open, refusing requests)."}, "gauge")
+	for i := 0; i < c.ring.N(); i++ {
+		v := 0
+		if c.client.Breaker(i).State() == "open" {
+			v = 1
+		}
+		fmt.Fprintf(w, "spannerd_cluster_breaker_open{worker=%q} %d\n", c.ring.URL(i), v)
+	}
+
+	writeScalar(w, family{"spannerd_coordinator_retries_total", "Idempotent reads retried against workers."}, "counter", c.client.Retries.Load())
+	writeScalar(w, family{"spannerd_coordinator_breaker_fast_fails_total", "Requests refused by an open per-worker breaker."}, "counter", c.client.BreakerFastFails.Load())
+	writeScalar(w, family{"spannerd_coordinator_down_fast_fails_total", "Requests refused because the owning worker is down."}, "counter", c.client.DownFastFails.Load())
+	writeScalar(w, family{"spannerd_coordinator_merged_tuples_total", "Tuple frames relayed through merged multi-document streams."}, "counter", c.mergedTuples.Load())
+	writeScalar(w, family{"spannerd_coordinator_shard_errors_total", "Per-shard failures inside scatter-gathers (partial results)."}, "counter", c.shardErrors.Load())
+}
+
+// writeScalar writes an unlabelled gauge or counter family.
+func writeScalar(w io.Writer, f family, typ string, v any) {
+	writeFamily(w, f, typ)
+	fmt.Fprintf(w, "%s %v\n", f.name, v)
+}
+
+// writeFamily writes a family's HELP and TYPE lines.
+func writeFamily(w io.Writer, f family, typ string) {
+	fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
+	fmt.Fprintf(w, "# TYPE %s %s\n", f.name, typ)
+}
+
+// writeHistograms renders a histogram family keyed by a label pair;
+// labels formats the pair (two %q verbs).
+func writeHistograms(w io.Writer, f family, mu *sync.Mutex, table map[labelPair]*histogram, labels string) {
+	writeFamily(w, f, "histogram")
+	for _, e := range sortedEntries(mu, table) {
+		writeHistogram(w, f.name, fmt.Sprintf(labels, e.key[0], e.key[1]), e.v)
 	}
 }
 
-// cut splits "a|b" at the first bar.
-func cut(k string) (string, string, bool) {
-	for i := 0; i < len(k); i++ {
-		if k[i] == '|' {
-			return k[:i], k[i+1:], true
-		}
+// writeHistogram writes one labelled series of a histogram family.
+func writeHistogram(w io.Writer, name, labels string, h *histogram) {
+	var cum uint64
+	for i, ub := range latencyBuckets {
+		cum += h.counts[i].Load()
+		fmt.Fprintf(w, "%s_bucket{%s,le=\"%g\"} %d\n", name, labels, ub, cum)
 	}
-	return k, "", false
+	cum += h.counts[len(latencyBuckets)].Load()
+	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, cum)
+	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, float64(h.sumNs.Load())/1e9)
+	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, cum)
 }
 
 func rate(hits, misses uint64) string {

@@ -1,9 +1,9 @@
 package server
 
-// Hand-rolled tuple serialization for the hot response paths. The
-// generic path (tupleJSON + encoding/json) builds three maps and a
-// VarSet per tuple and then reflects over them; on /stream that
-// dominated the profile. appendTuple produces byte-identical output —
+// Hand-rolled tuple serialization for the hot response paths. Encoding
+// a tuple through encoding/json means building a map per tuple and per
+// span and reflecting over them; on /stream that dominated the
+// profile. appendTupleValue produces byte-identical output —
 // same sorted key order, same string escaping (including the HTML and
 // U+2028/U+2029 escapes encoding/json applies by default) — into a
 // caller-owned buffer, so the per-tuple path allocates nothing once the
@@ -140,8 +140,8 @@ func appendEscapedString(dst []byte, s string) []byte {
 }
 
 // appendTupleValue appends t as one JSON object, exactly the bytes
-// encoding/json produces for tupleJSON(t, doc, withContent): variables
-// in sorted order, each span as {"begin": B[, "content": C], "end": E}
+// encoding/json produces for the tuple as nested maps (the tupleJSON
+// oracle in ndjson_test.go): variables in sorted order, each span as {"begin": B[, "content": C], "end": E}
 // (the alphabetical key order a sorted map marshal yields). vars is a
 // caller-provided scratch slice, returned grown so the caller can reuse
 // it across tuples.

@@ -15,6 +15,23 @@ import (
 	"docspanner"
 )
 
+// tupleJSON is the test oracle for appendTupleValue: the tuple as maps
+// that encoding/json renders as {"x": {"begin": 1, "content": "ab",
+// "end": 3}, ...}. Spans are 1-based, end-exclusive; content is
+// included when withContent is set and doc is not nil.
+func tupleJSON(t docspanner.Tuple, doc []byte, withContent bool) map[string]any {
+	out := make(map[string]any, len(t))
+	for _, v := range t.Vars() {
+		sp := t[v]
+		m := map[string]any{"begin": sp.Begin, "end": sp.End}
+		if withContent && doc != nil {
+			m["content"] = string(sp.Content(doc))
+		}
+		out[string(v)] = m
+	}
+	return out
+}
+
 // TestAppendTupleMatchesEncodingJSON pins the hand-rolled serializer to
 // encoding/json byte for byte: same sorted keys, same escaping. The doc
 // is adversarial — HTML characters (escaped to \u003c etc. because the
@@ -145,10 +162,10 @@ func TestStreamAbortsOnFlushError(t *testing.T) {
 	if strings.Contains(lines[len(lines)-1], `"done"`) {
 		t.Fatalf("summary line written to a disconnected client: %q", lines[len(lines)-1])
 	}
-	if got := s.metrics.disconnects.Load(); got != 1 {
+	if got := s.front.disconnects.Load(); got != 1 {
 		t.Fatalf("disconnects = %d, want 1", got)
 	}
-	if got := s.metrics.get(s.metrics.requests, "stream|499"); got != 1 {
+	if got := s.front.requests("stream", 499); got != 1 {
 		t.Fatalf("stream|499 requests = %d, want 1", got)
 	}
 }
@@ -184,7 +201,7 @@ func TestStreamClientKilledMidStream(t *testing.T) {
 	conn.Close()
 
 	deadline := time.Now().Add(15 * time.Second)
-	for s.metrics.disconnects.Load() == 0 {
+	for s.front.disconnects.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("handler did not record a disconnect after the client was killed")
 		}

@@ -10,18 +10,13 @@
 package server
 
 import (
-	"context"
-	crand "crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"docspanner"
@@ -76,17 +71,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 64
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 5 * time.Minute
-	}
 	if c.LintFailOn == "" {
 		c.LintFailOn = "error"
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
 	}
 	switch c.ViewRefresh {
 	case "":
@@ -94,9 +80,6 @@ func (c Config) withDefaults() (Config, error) {
 	case "sync", "async":
 	default:
 		return c, fmt.Errorf("server: ViewRefresh %q (want sync or async)", c.ViewRefresh)
-	}
-	if c.Logger == nil {
-		c.Logger = slog.New(discardHandler{})
 	}
 	if c.Storage == nil {
 		c.Storage = storage.NewMemory()
@@ -108,14 +91,13 @@ func (c Config) withDefaults() (Config, error) {
 // on an http.Server (cmd/spannerd does exactly that); it is safe for
 // use by any number of concurrent requests.
 type Server struct {
-	cfg     Config
 	storage storage.Backend
 	store   *docStore
 	queries *registry
 	views   *views.Set
 	metrics *metrics
+	front   *front
 	sem     chan struct{}
-	mux     *http.ServeMux
 
 	// Async view refresher: mutations enqueue document names; the worker
 	// refreshes that document's views from the then-current snapshot.
@@ -146,12 +128,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:     cfg,
 		storage: cfg.Storage,
 		store:   store,
 		queries: newRegistry(failOn, cfg.Storage),
 		views:   views.NewSet(views.Config{MaxMaterialize: cfg.MaxMaterialize, History: cfg.ViewHistory}),
 		metrics: newMetrics(),
+		front:   newFront(workerFront, cfg.RequestTimeout, cfg.MaxTimeout, cfg.MaxBodyBytes, cfg.Logger),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		stop:    make(chan struct{}),
 	}
@@ -208,7 +190,7 @@ func (s *Server) Close() {
 		close(s.stop)
 		s.wg.Wait()
 		if err := s.storage.Close(); err != nil {
-			s.cfg.Logger.Error("closing storage backend", slog.String("error", err.Error()))
+			s.front.logger.Error("closing storage backend", slog.String("error", err.Error()))
 		}
 	})
 }
@@ -258,42 +240,42 @@ func (s *Server) notifyDocChanged(name string) {
 	}
 }
 
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.front.ServeHTTP(w, r) }
 
 func (s *Server) routes() {
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /healthz", s.wrap("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /readyz", s.wrap("readyz", s.handleReadyz))
-	s.mux.HandleFunc("GET /metrics", s.wrap("metrics", s.handleMetrics))
-	s.mux.HandleFunc("GET /varz", s.wrap("varz", s.handleVarz))
+	f := s.front
+	f.handle("GET /healthz", "healthz", s.handleHealthz)
+	f.handle("GET /readyz", "readyz", s.handleReadyz)
+	f.handle("GET /metrics", "metrics", s.handleMetrics)
+	f.handle("GET /varz", "varz", s.handleVarz)
 
-	s.mux.HandleFunc("GET /docs", s.wrap("docs.list", s.handleDocList))
-	s.mux.HandleFunc("PUT /docs/{name}", s.wrap("docs.put", s.handleDocPut))
-	s.mux.HandleFunc("GET /docs/{name}", s.wrap("docs.get", s.handleDocGet))
-	s.mux.HandleFunc("DELETE /docs/{name}", s.wrap("docs.delete", s.handleDocDelete))
-	s.mux.HandleFunc("POST /docs/{name}/compress", s.wrap("docs.compress", s.handleDocCompress))
-	s.mux.HandleFunc("POST /docs/{name}/edit", s.wrap("docs.edit", s.handleDocEdit))
-	s.mux.HandleFunc("POST /docs/{name}/warm", s.wrap("docs.warm", s.limited(s.handleDocWarm)))
-	s.mux.HandleFunc("GET /docs/{name}/views", s.wrap("views.list", s.handleDocViewList))
-	s.mux.HandleFunc("PUT /docs/{name}/views/{query}", s.wrap("views.put", s.limited(s.handleViewPut)))
-	s.mux.HandleFunc("GET /docs/{name}/views/{query}", s.wrap("views.get", s.handleViewGet))
-	s.mux.HandleFunc("DELETE /docs/{name}/views/{query}", s.wrap("views.delete", s.handleViewDelete))
-	s.mux.HandleFunc("GET /docs/{name}/changes", s.wrap("docs.changes", s.handleDocChanges))
-	s.mux.HandleFunc("GET /views", s.wrap("views.list", s.handleViewList))
+	f.handle("GET /docs", "docs.list", s.handleDocList)
+	f.handle("PUT /docs/{name}", "docs.put", s.handleDocPut)
+	f.handle("GET /docs/{name}", "docs.get", s.handleDocGet)
+	f.handle("DELETE /docs/{name}", "docs.delete", s.handleDocDelete)
+	f.handle("POST /docs/{name}/compress", "docs.compress", s.handleDocCompress)
+	f.handle("POST /docs/{name}/edit", "docs.edit", s.handleDocEdit)
+	f.handle("POST /docs/{name}/warm", "docs.warm", s.limited(s.handleDocWarm))
+	f.handle("GET /docs/{name}/views", "views.list", s.handleDocViewList)
+	f.handle("PUT /docs/{name}/views/{query}", "views.put", s.limited(s.handleViewPut))
+	f.handle("GET /docs/{name}/views/{query}", "views.get", s.handleViewGet)
+	f.handle("DELETE /docs/{name}/views/{query}", "views.delete", s.handleViewDelete)
+	f.handle("GET /docs/{name}/changes", "docs.changes", s.handleDocChanges)
+	f.handle("GET /views", "views.list", s.handleViewList)
 
-	s.mux.HandleFunc("GET /queries", s.wrap("queries.list", s.handleQueryList))
-	s.mux.HandleFunc("PUT /queries/{name}", s.wrap("queries.put", s.handleQueryPut))
-	s.mux.HandleFunc("GET /queries/{name}", s.wrap("queries.get", s.handleQueryGet))
-	s.mux.HandleFunc("DELETE /queries/{name}", s.wrap("queries.delete", s.handleQueryDelete))
-	s.mux.HandleFunc("GET /queries/{name}/explain", s.wrap("queries.explain", s.handleQueryExplain))
+	f.handle("GET /queries", "queries.list", s.handleQueryList)
+	f.handle("PUT /queries/{name}", "queries.put", s.handleQueryPut)
+	f.handle("GET /queries/{name}", "queries.get", s.handleQueryGet)
+	f.handle("DELETE /queries/{name}", "queries.delete", s.handleQueryDelete)
+	f.handle("GET /queries/{name}/explain", "queries.explain", s.handleQueryExplain)
 
-	s.mux.HandleFunc("GET /eval", s.wrap("eval", s.limited(s.handleEval)))
-	s.mux.HandleFunc("GET /count", s.wrap("count", s.limited(s.handleCount)))
-	s.mux.HandleFunc("GET /stream", s.wrap("stream", s.limited(s.handleStream)))
-	s.mux.HandleFunc("POST /batch", s.wrap("batch", s.limited(s.handleBatch)))
+	f.handle("GET /eval", "eval", s.limited(s.handleEval))
+	f.handle("GET /count", "count", s.limited(s.handleCount))
+	f.handle("GET /stream", "stream", s.limited(s.handleStream))
+	f.handle("POST /batch", "batch", s.limited(s.handleBatch))
 
-	s.mux.HandleFunc("POST /admin/flush-caches", s.wrap("admin.flush", s.handleFlushCaches))
-	s.mux.HandleFunc("POST /admin/snapshot", s.wrap("admin.snapshot", s.handleSnapshot))
+	f.handle("POST /admin/flush-caches", "admin.flush", s.handleFlushCaches)
+	f.handle("POST /admin/snapshot", "admin.snapshot", s.handleSnapshot)
 }
 
 // httpError is an error with an HTTP status; handlers return it to get
@@ -344,149 +326,13 @@ func isSyncFailed(err error) bool {
 	return errors.As(err, &sf)
 }
 
-// Request IDs are a random per-process prefix plus a counter: unique
-// across a cluster's processes without per-request entropy reads.
-var (
-	reqIDPrefix = func() string {
-		var b [6]byte
-		if _, err := crand.Read(b[:]); err != nil {
-			return "00deadbeef00"
-		}
-		return hex.EncodeToString(b[:])
-	}()
-	reqIDCounter atomic.Uint64
-)
-
-// requestID returns the request's X-Request-ID, minting one when the
-// client didn't send it. IDs are capped at 128 bytes so a hostile
-// header can't bloat every log line it transits.
-func requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-ID"); id != "" {
-		if len(id) > 128 {
-			id = id[:128]
-		}
-		return id
-	}
-	return reqIDPrefix + "-" + strconv.FormatUint(reqIDCounter.Add(1), 16)
-}
-
-// statusWriter records the response code for logs and metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = 200
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// Flush forwards to the underlying writer so NDJSON streaming works
-// through the wrapper.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// FlushError forwards the error-reporting flush that
-// http.ResponseController prefers over plain Flush. Without it the
-// wrapper would hide flush failures — the one signal that tells a
-// streaming handler its client hung up — behind the error-swallowing
-// Flusher path.
-func (w *statusWriter) FlushError() error {
-	switch f := w.ResponseWriter.(type) {
-	case interface{ FlushError() error }:
-		return f.FlushError()
-	case http.Flusher:
-		f.Flush()
-		return nil
-	}
-	return http.ErrNotSupported
-}
-
-// wrap adapts an error-returning handler: it bounds the body, tracks
-// inflight/latency metrics, renders httpErrors as JSON, and emits one
-// structured log line per request. Every request carries an
-// X-Request-ID — the client's if it sent one (the coordinator stamps
-// its own onto worker hops), freshly generated otherwise — echoed on
-// the response and logged on both sides, so one extraction can be
-// trace-stitched across the coordinator→worker boundary.
-func (s *Server) wrap(handler string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		s.metrics.inflight.Add(1)
-		defer s.metrics.inflight.Add(-1)
-		reqID := requestID(r)
-		w.Header().Set("X-Request-ID", reqID)
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		sw := &statusWriter{ResponseWriter: w}
-		err := h(sw, r)
-		if err != nil {
-			s.renderError(sw, err)
-		}
-		if sw.status == 0 {
-			sw.status = 200
-		}
-		d := time.Since(start)
-		s.metrics.request(handler, sw.status, d)
-		s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-			slog.String("handler", handler),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.Duration("duration", d),
-			slog.String("request_id", reqID),
-		)
-	}
-}
-
-func (s *Server) renderError(w *statusWriter, err error) {
-	if w.status != 0 {
-		// Headers already sent (mid-stream failure); nothing to render.
-		return
-	}
-	he := &httpError{status: 500, message: err.Error()}
-	var cast *httpError
-	if errors.As(err, &cast) {
-		he = cast
-	}
-	var sf *syncFailedError
-	if errors.As(err, &sf) {
-		s.metrics.syncFailures.Add(1)
-		he = &httpError{status: 500, message: sf.Error()}
-	} else if errors.Is(err, context.DeadlineExceeded) {
-		he = &httpError{status: 504, message: "evaluation deadline exceeded"}
-		s.metrics.timeouts.Add(1)
-	} else if errors.Is(err, context.Canceled) {
-		he = &httpError{status: 499, message: "request cancelled"}
-	}
-	if he.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(he.retryAfter))
-	}
-	body := map[string]any{"error": he.message}
-	if he.diags != nil {
-		body["diagnostics"] = he.diags
-	}
-	writeJSON(w, he.status, body)
-}
-
 // limited applies the concurrency limiter and the per-request deadline
 // to an evaluation handler. Waiting for a slot respects the client
 // disconnecting; a slot that does not free up before the deadline is a
 // 503, not a queue that grows without bound.
 func (s *Server) limited(h func(http.ResponseWriter, *http.Request) error) func(http.ResponseWriter, *http.Request) error {
 	return func(w http.ResponseWriter, r *http.Request) error {
-		ctx, cancel, err := s.requestContext(r)
+		ctx, cancel, err := s.front.requestContext(r)
 		if err != nil {
 			return err
 		}
@@ -509,37 +355,10 @@ func (s *Server) limited(h func(http.ResponseWriter, *http.Request) error) func(
 	}
 }
 
-// requestContext derives the evaluation context: the client's context
-// plus the default or ?timeout= deadline (capped by MaxTimeout).
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	return requestContextFor(r, s.cfg.RequestTimeout, s.cfg.MaxTimeout)
-}
-
-// requestContextFor is the shared ?timeout= policy, used by both the
-// worker Server and the cluster Coordinator (whose whole fan-out runs
-// under the one deadline).
-func requestContextFor(r *http.Request, def, max time.Duration) (context.Context, context.CancelFunc, error) {
-	d := def
-	if t := r.URL.Query().Get("timeout"); t != "" {
-		td, err := time.ParseDuration(t)
-		if err != nil || td <= 0 {
-			return nil, nil, errBadRequest(fmt.Sprintf("bad timeout %q (want a positive Go duration like 250ms)", t))
-		}
-		d = td
-	}
-	if d > max {
-		d = max
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	return ctx, cancel, nil
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // --- observability handlers ---
@@ -547,7 +366,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
 	writeJSON(w, 200, map[string]any{
 		"status":  "ok",
-		"uptime":  time.Since(s.metrics.start).String(),
+		"uptime":  time.Since(s.front.start).String(),
 		"docs":    s.store.len(),
 		"queries": s.queries.len(),
 		"views":   s.views.Len(),
@@ -573,7 +392,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) error {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) error {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.writeProm(w, s.store.len(), s.queries.len(), s.views.Len(), s.storage.Stats())
+	s.front.writeProm(w)
+	s.metrics.writeProm(w, s.store.len(), s.queries.len(), s.views.Len(), s.storage.Stats(), s.front.syncFailures.Load())
 	return nil
 }
 
@@ -595,26 +415,23 @@ func (s *Server) handleVarz(w http.ResponseWriter, _ *http.Request) error {
 	ph, pm := plan.CacheStats()
 	mh, mm := slpmatch.CacheStats()
 	wr, wu := slpmatch.WarmDeltaStats()
-	own, _ := json.Marshal(map[string]any{
+	own, _ := json.Marshal(s.front.varz(map[string]any{
 		"docs":               s.store.len(),
 		"queries":            s.queries.len(),
 		"views":              s.views.Len(),
 		"view_refreshes":     s.metrics.viewRefreshes.Load(),
-		"sync_failures":      s.metrics.syncFailures.Load(),
+		"sync_failures":      s.front.syncFailures.Load(),
 		"warm_recomputed":    wr,
 		"warm_reused":        wu,
 		"grammar_nodes":      s.store.grammarSize(),
-		"inflight":           s.metrics.inflight.Load(),
 		"rejected":           s.metrics.rejected.Load(),
-		"timeouts":           s.metrics.timeouts.Load(),
-		"disconnects":        s.metrics.disconnects.Load(),
 		"plan_cache_hits":    ph,
 		"plan_cache_misses":  pm,
 		"plan_cache_size":    plan.CacheLen(),
 		"matrix_cache_hits":  mh,
 		"matrix_cache_miss":  mm,
 		"matrix_cache_cores": slpmatch.Cores(),
-	})
+	}))
 	if !first {
 		fmt.Fprintf(w, ",\n")
 	}
@@ -651,12 +468,3 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) error {
 	})
 	return nil
 }
-
-// discardHandler is a slog.Handler that drops everything (slog's
-// DiscardHandler arrived in go 1.24; this repo targets 1.23).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
